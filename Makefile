@@ -118,6 +118,7 @@ e2e-json:
 
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run '^$$' ./internal/yaml
+	$(GO) test -fuzz=FuzzDecodeJSONEquivalence -fuzztime=10s -run '^$$' ./internal/object
 	$(GO) test -fuzz=FuzzValidate -fuzztime=10s -run '^$$' ./internal/validator
 	$(GO) test -fuzz=FuzzCompiledEquivalence -fuzztime=10s -run '^$$' ./internal/compile
 	$(GO) test -fuzz=FuzzRawEquivalence -fuzztime=10s -run '^$$' ./internal/compile

@@ -26,23 +26,24 @@ import (
 // verdicts and violations bit-identical to the existing engines; the
 // streaming pass only decides how much work an allowed request costs.
 //
-// Soundness under duplicate keys: the decode path
-// (object.ParseJSON) rejects documents that duplicate a key within an
-// object, because last-writer-wins decoding would let an early
-// occurrence smuggle a sibling value past any validator that only sees
-// the decoded map. The scanner therefore tracks the member keys of
-// every open object scope and falls back the moment a key repeats —
-// or the moment a key's decoded spelling is not knowable from its raw
-// bytes (escape sequences, non-ASCII) — so a true verdict still
-// implies the body decodes cleanly. The two passes stay aligned by
-// construction: raw-allow ⇒ no duplicates ⇒ decode succeeds.
+// Soundness under duplicate keys: the decode path (object.ParseJSON, a
+// single-pass decoder with encoding/json's accept set) rejects
+// documents that duplicate a key within an object — compared after
+// unescaping, so "a" and "\u0061" collide — because last-writer-wins
+// decoding would let an early occurrence smuggle a sibling value past
+// any validator that only sees the decoded map. The scanner therefore
+// tracks the member keys of every open object scope and falls back the
+// moment a key repeats — or the moment a key's decoded spelling is not
+// knowable from its raw bytes (escape sequences, non-ASCII) — so a true
+// verdict still implies the body decodes cleanly. The two passes stay
+// aligned by construction: raw-allow ⇒ no duplicates ⇒ decode succeeds.
 //
 // Equivalence is pinned by the differential fuzz target
 // (FuzzRawEquivalence) and by replaying the full adversarial robustness
 // matrix through the raw path next to both engines.
 
 // maxRawDepth bounds scanner recursion; deeper documents fall back to
-// the decode path (encoding/json itself allows up to 10000).
+// the decode path (object.ParseJSON allows up to 10000).
 const maxRawDepth = 1000
 
 // maxRawNumberDigits bounds the mantissa digits of a number literal the

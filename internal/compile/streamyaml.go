@@ -1024,6 +1024,11 @@ func (s *yamlScan) metaScalar(rs, re, keyIndent int) ([]byte, bool) {
 		s.skipBlank()
 		if l, ok := s.cur(); ok && !s.sep(l) {
 			if l.indent > keyIndent {
+				if !s.dashLine(l) && s.entryKind(l) == entryNone {
+					// A scalar on the deeper next line is the key's value,
+					// which the accessor would read: decode-path territory.
+					return nil, false
+				}
 				_, wok := s.node(l, -1, false, 1)
 				return nil, wok
 			}

@@ -296,6 +296,7 @@ func FuzzRawYAMLEquivalence(f *testing.F) {
 	f.Add([]byte("kind: \"Po\\u0064\"\nmeta: {a: [1, 2]}\n"))
 	f.Add([]byte("kind: Pod # comment\nspec: # trailing\n  runAsUser: 9007199254740993\n"))
 	f.Add([]byte("kind: Pod\nspec:\n  a: 1e5\n  b: 0x10\n  c: -007\n  d: .5\n"))
+	f.Add([]byte("apiVersion:\n A")) // meta scalar on the next, deeper line
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		meta, metaOK := ScanRawYAMLMeta(data)

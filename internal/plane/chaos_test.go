@@ -12,6 +12,10 @@ import (
 	"repro/internal/registry"
 )
 
+// rogueImg is an image no chaos-test policy generation admits, so a
+// pod carrying it is denied whichever generation judges it.
+const rogueImg = "docker.io/evil:1"
+
 // TestChaosKillRestartMidSwap kills and restarts replicas while policy
 // swaps and enforcement traffic run full tilt, and asserts the tier's
 // two distribution invariants under the race detector:
@@ -47,13 +51,18 @@ func TestChaosKillRestartMidSwap(t *testing.T) {
 	// (false benign), odd => v2 (true benign). It is advanced only
 	// AFTER the corresponding Swap has returned, so a reader that
 	// observes phase N is guaranteed the swap to N's policy completed
-	// before its request started.
-	var phase atomic.Uint64
+	// before its request started. swapping is advanced BEFORE each Swap
+	// is called, so swapping == phase exactly when no swap is in flight:
+	// a Swap installs the new generation replica by replica before it
+	// returns, so while one is in flight either generation's verdict is
+	// legal.
+	var phase, swapping atomic.Uint64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
 	bodyFalse := podBody(false, img)
 	bodyTrue := podBody(true, img)
+	bodyNever := podBody(false, rogueImg)
 
 	// Swapper: v1 -> v2 -> v1 -> ... as fast as it can.
 	wg.Add(1)
@@ -69,6 +78,7 @@ func TestChaosKillRestartMidSwap(t *testing.T) {
 			if i%2 == 1 {
 				next = v1
 			}
+			swapping.Add(1)
 			if err := pl.Swap("wl", next); err != nil {
 				t.Errorf("Swap: %v", err)
 				return
@@ -104,12 +114,13 @@ func TestChaosKillRestartMidSwap(t *testing.T) {
 	}()
 
 	// Traffic: every request snapshots the phase BEFORE it starts, so
-	// the snapshot is a lower bound on the published generation. If the
-	// phase did not advance while the request was in flight, the
-	// verdict must be exactly the snapshot generation's; if it did, any
-	// of the concurrently-published generations' verdicts is legal
-	// (bounded mixed window) — but forwarding a body BOTH generations
-	// deny is fail-open and always fatal.
+	// the snapshot is a lower bound on the published generation. If no
+	// swap started by the time the request finished (swapping still
+	// equals the snapshot), the verdict must be exactly the snapshot
+	// generation's; if one did, any of the concurrently-published
+	// generations' verdicts is legal (bounded mixed window) — but
+	// forwarding a body BOTH generations deny is fail-open and always
+	// fatal.
 	const workers = 4
 	var served, shed atomic.Uint64
 	for w := 0; w < workers; w++ {
@@ -130,15 +141,19 @@ func TestChaosKillRestartMidSwap(t *testing.T) {
 				for _, probe := range []struct {
 					body  []byte
 					allow bool
-				}{{wantAllow, true}, {wantDeny, false}} {
+					never bool // denied by every generation
+				}{{wantAllow, true, false}, {wantDeny, false, false}, {bodyNever, false, true}} {
 					req := httptest.NewRequest(http.MethodPost, "/api/v1/namespaces/prod/pods", bytes.NewReader(probe.body))
 					req.Header.Set("Content-Type", "application/json")
 					rec := httptest.NewRecorder()
 					pl.ServeHTTP(rec, req)
-					after := phase.Load()
+					after := swapping.Load()
 					switch rec.Code {
 					case http.StatusOK, http.StatusForbidden:
 						served.Add(1)
+						if probe.never && rec.Code != http.StatusForbidden {
+							t.Errorf("phase %d: body every generation denies was forwarded (fail-open)", before)
+						}
 						stable := before == after
 						if stable && probe.allow && rec.Code != http.StatusOK {
 							t.Errorf("phase %d: allowed body denied (stale generation served): %s", before, rec.Body)
@@ -228,12 +243,15 @@ func TestChaosRebalanceMidSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var phase atomic.Uint64
+	// phase and swapping count returned and started swaps, exactly as
+	// in TestChaosKillRestartMidSwap.
+	var phase, swapping atomic.Uint64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
 	bodyFalse := podBody(false, img)
 	bodyTrue := podBody(true, img)
+	bodyNever := podBody(false, rogueImg)
 
 	// Swapper: v1 -> v2 -> v1 -> ...
 	wg.Add(1)
@@ -249,6 +267,7 @@ func TestChaosRebalanceMidSwap(t *testing.T) {
 			if i%2 == 1 {
 				next = v1
 			}
+			swapping.Add(1)
 			if err := pl.Swap("wl", next); err != nil {
 				t.Errorf("Swap: %v", err)
 				return
@@ -325,15 +344,19 @@ func TestChaosRebalanceMidSwap(t *testing.T) {
 				for _, probe := range []struct {
 					body  []byte
 					allow bool
-				}{{wantAllow, true}, {wantDeny, false}} {
+					never bool // denied by every generation
+				}{{wantAllow, true, false}, {wantDeny, false, false}, {bodyNever, false, true}} {
 					req := httptest.NewRequest(http.MethodPost, "/api/v1/namespaces/prod/pods", bytes.NewReader(probe.body))
 					req.Header.Set("Content-Type", "application/json")
 					rec := httptest.NewRecorder()
 					pl.ServeHTTP(rec, req)
-					after := phase.Load()
+					after := swapping.Load()
 					switch rec.Code {
 					case http.StatusOK, http.StatusForbidden:
 						served.Add(1)
+						if probe.never && rec.Code != http.StatusForbidden {
+							t.Errorf("phase %d: body every generation denies was forwarded (fail-open)", before)
+						}
 						stable := before == after
 						if stable && probe.allow && rec.Code != http.StatusOK {
 							t.Errorf("phase %d: allowed body denied mid-rebalance (stale generation): %s", before, rec.Body)

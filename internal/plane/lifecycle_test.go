@@ -127,29 +127,6 @@ func TestPlaneStateAndStateString(t *testing.T) {
 	}
 }
 
-func TestBodyFormatClassification(t *testing.T) {
-	tests := []struct {
-		contentType string
-		want        bodyFormatKind
-		ok          bool
-	}{
-		{"", formatJSON, true},
-		{"application/json", formatJSON, true},
-		{"text/json; charset=utf-8", formatJSON, true},
-		{"application/yaml", formatYAML, true},
-		{"text/yaml", formatYAML, true},
-		{"application/x-yaml", formatYAML, true},
-		{"application/xml", 0, false},
-		{"not a media type ;;;", 0, false},
-	}
-	for _, tt := range tests {
-		got, ok := bodyFormat(tt.contentType)
-		if ok != tt.ok || (ok && got != tt.want) {
-			t.Errorf("bodyFormat(%q) = %v, %v; want %v, %v", tt.contentType, got, ok, tt.want, tt.ok)
-		}
-	}
-}
-
 func TestRouteKeyDerivation(t *testing.T) {
 	mkReq := func(method, path, contentType string) *http.Request {
 		req := httptest.NewRequest(method, path, nil)
@@ -221,20 +198,6 @@ func TestRouteKeyDerivation(t *testing.T) {
 				t.Errorf("routeKey = %q, want %q", got, tt.want)
 			}
 		})
-	}
-}
-
-func TestDecodeObjectFormats(t *testing.T) {
-	o, err := decodeObject([]byte(`{"kind":"Pod","metadata":{"name":"p"}}`), formatJSON)
-	if err != nil || o.Kind() != "Pod" {
-		t.Fatalf("decodeObject json = %v, %v", o, err)
-	}
-	o, err = decodeObject([]byte("kind: Pod\nmetadata:\n  name: p\n"), formatYAML)
-	if err != nil || o.Kind() != "Pod" {
-		t.Fatalf("decodeObject yaml = %v, %v", o, err)
-	}
-	if _, err := decodeObject([]byte("{broken"), formatJSON); err == nil {
-		t.Error("decodeObject on broken JSON should fail")
 	}
 }
 

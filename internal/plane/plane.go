@@ -40,15 +40,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"mime"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/compile"
-	"repro/internal/object"
 	"repro/internal/proxy"
 	"repro/internal/registry"
 	"repro/internal/telemetry"
@@ -1069,43 +1066,20 @@ func (rep *replica) acquire(timeout time.Duration) bool {
 
 func (rep *replica) release() { <-rep.inflight }
 
-// routeKey derives the shard key of a request, preferring the body's
-// own namespace (the field per-replica resolution will use) over the
-// URL path's, then the body kind for cluster-scoped objects. Bodies the
-// streaming scanners cannot read fall back to a full decode — the same
-// fallback the replica's resolution takes, so routing and resolution
-// always see the same (namespace, kind). Truly undecodable bodies get
-// a deterministic path key; every replica fails closed on those
-// identically, the key only needs to be stable.
+// routeKey derives the shard key of a request from the namespace and
+// kind its replica will resolve the workload by (proxy.RequestTarget,
+// the replica's own routing code, so the two can never diverge): the
+// namespace when there is one, else the body kind for cluster-scoped
+// objects. Requests with neither get a deterministic path key; every
+// replica fails closed on those identically, the key only needs to be
+// stable.
 func routeKey(r *http.Request, body []byte) string {
-	if inspectable(r.Method) && len(body) > 0 {
-		if format, ok := bodyFormat(r.Header.Get("Content-Type")); ok {
-			var meta compile.RawMeta
-			var scanned bool
-			if format == formatYAML {
-				meta, scanned = compile.ScanRawYAMLMeta(body)
-			} else {
-				meta, scanned = compile.ScanRawMeta(body)
-			}
-			namespace, kind := string(meta.Namespace), string(meta.Kind)
-			if !scanned {
-				if obj, err := decodeObject(body, format); err == nil {
-					namespace, kind = obj.Namespace(), obj.Kind()
-				}
-			}
-			if namespace != "" {
-				return nsKey(namespace)
-			}
-			if ns := requestNamespace(r.URL.Path); ns != "" {
-				return nsKey(ns)
-			}
-			if kind != "" {
-				return kindKey(kind)
-			}
-		}
+	namespace, kind := proxy.RequestTarget(r, body)
+	if namespace != "" {
+		return nsKey(namespace)
 	}
-	if ns := requestNamespace(r.URL.Path); ns != "" {
-		return nsKey(ns)
+	if kind != "" {
+		return kindKey(kind)
 	}
 	return "path/" + r.URL.Path
 }
@@ -1118,65 +1092,6 @@ func (pl *Plane) writeStatus(w http.ResponseWriter, code int, reason, message st
 	w.WriteHeader(code)
 	fmt.Fprintf(w, `{"kind":"Status","apiVersion":"v1","status":"Failure","message":%q,"reason":%q,"code":%d}`+"\n",
 		message, reason, code)
-}
-
-// requestNamespace mirrors the proxy's path-namespace extraction
-// ("/api/v1/namespaces/{ns}/..."), so the front door and the replica
-// resolve the same namespace for the same request.
-func requestNamespace(path string) string {
-	const tok = "/namespaces/"
-	i := strings.Index(path, tok)
-	if i < 0 {
-		return ""
-	}
-	ns := path[i+len(tok):]
-	if j := strings.IndexByte(ns, '/'); j >= 0 {
-		ns = ns[:j]
-	}
-	return ns
-}
-
-func inspectable(method string) bool {
-	switch method {
-	case http.MethodPost, http.MethodPut, http.MethodPatch:
-		return true
-	}
-	return false
-}
-
-type bodyFormatKind int
-
-const (
-	formatJSON bodyFormatKind = iota
-	formatYAML
-)
-
-// bodyFormat is the proxy's classification, applied here only to pick
-// which scanner to try for ROUTING; the replica re-classifies (and
-// fail-closes on unsupported types) itself.
-func bodyFormat(contentType string) (bodyFormatKind, bool) {
-	if contentType == "" {
-		return formatJSON, true
-	}
-	mediaType, _, err := mime.ParseMediaType(contentType)
-	if err != nil {
-		return 0, false
-	}
-	switch mediaType {
-	case "application/json", "text/json":
-		return formatJSON, true
-	case "application/yaml", "text/yaml", "application/x-yaml":
-		return formatYAML, true
-	}
-	return 0, false
-}
-
-// decodeObject mirrors the replica's decode fallback for routing.
-func decodeObject(body []byte, format bodyFormatKind) (object.Object, error) {
-	if format == formatYAML {
-		return object.ParseManifest(body)
-	}
-	return object.ParseJSON(body)
 }
 
 // --- metrics -----------------------------------------------------------

@@ -262,6 +262,81 @@ func TestRequestNamespace(t *testing.T) {
 	}
 }
 
+func TestBodyFormatClassification(t *testing.T) {
+	tests := []struct {
+		contentType string
+		want        bodyFormatKind
+		ok          bool
+	}{
+		{"", formatJSON, true},
+		{"application/json", formatJSON, true},
+		{"text/json; charset=utf-8", formatJSON, true},
+		{"application/yaml", formatYAML, true},
+		{"text/yaml", formatYAML, true},
+		{"application/x-yaml", formatYAML, true},
+		{"application/xml", 0, false},
+		{"not a media type ;;;", 0, false},
+	}
+	for _, tt := range tests {
+		got, ok := bodyFormat(tt.contentType)
+		if ok != tt.ok || (ok && got != tt.want) {
+			t.Errorf("bodyFormat(%q) = %v, %v; want %v, %v", tt.contentType, got, ok, tt.want, tt.ok)
+		}
+	}
+}
+
+func TestDecodeObjectFormats(t *testing.T) {
+	o, err := decodeObject([]byte(`{"kind":"Pod","metadata":{"name":"p"}}`), formatJSON)
+	if err != nil || o.Kind() != "Pod" {
+		t.Fatalf("decodeObject json = %v, %v", o, err)
+	}
+	o, err = decodeObject([]byte("kind: Pod\nmetadata:\n  name: p\n"), formatYAML)
+	if err != nil || o.Kind() != "Pod" {
+		t.Fatalf("decodeObject yaml = %v, %v", o, err)
+	}
+	if _, err := decodeObject([]byte("{broken"), formatJSON); err == nil {
+		t.Error("decodeObject on broken JSON should fail")
+	}
+}
+
+func TestRequestTarget(t *testing.T) {
+	tests := []struct {
+		name, method, path, contentType, body string
+		namespace, kind                       string
+	}{
+		{"json body namespace wins over path", "POST", "/api/v1/namespaces/urlns/pods", "application/json",
+			`{"kind":"Pod","metadata":{"name":"p","namespace":"bodyns"}}`, "bodyns", "Pod"},
+		{"path namespace fills an empty body namespace", "POST", "/api/v1/namespaces/urlns/pods", "",
+			`{"kind":"Pod","metadata":{"name":"p"}}`, "urlns", "Pod"},
+		{"block yaml scanned", "PUT", "/api/v1/pods", "application/yaml",
+			"kind: Pod\nmetadata:\n  namespace: yns\n", "yns", "Pod"},
+		{"flow yaml decoded", "PATCH", "/api/v1/pods", "application/yaml",
+			"kind: Pod\nmetadata: {name: p, namespace: flowns}\n", "flowns", "Pod"},
+		{"escaped json decoded", "POST", "/api/v1/pods", "application/json",
+			`{"kind":"Pod","metadata":{"namespace":"\u0061b"}}`, "ab", "Pod"},
+		{"cluster-scoped kind", "POST", "/apis/rbac.authorization.k8s.io/v1/clusterroles", "application/json",
+			`{"kind":"ClusterRole","metadata":{"name":"cr"}}`, "", "ClusterRole"},
+		{"undecodable body", "POST", "/api/v1/namespaces/urlns/pods", "application/json",
+			"{not json", "urlns", ""},
+		{"unsupported content type", "POST", "/api/v1/namespaces/xmlns/pods", "application/xml",
+			`{"kind":"Pod","metadata":{"namespace":"ignored"}}`, "xmlns", ""},
+		{"uninspected method", "DELETE", "/api/v1/namespaces/delns/pods/p", "",
+			`{"kind":"Pod","metadata":{"namespace":"ignored"}}`, "delns", ""},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			req := httptest.NewRequest(tt.method, tt.path, nil)
+			if tt.contentType != "" {
+				req.Header.Set("Content-Type", tt.contentType)
+			}
+			ns, kind := RequestTarget(req, []byte(tt.body))
+			if ns != tt.namespace || kind != tt.kind {
+				t.Errorf("RequestTarget = %q, %q; want %q, %q", ns, kind, tt.namespace, tt.kind)
+			}
+		})
+	}
+}
+
 // TestProxyViolationLogIsBounded floods the proxy with denied requests
 // and checks the global denial log stays capped (denials are
 // attacker-triggerable, so an unbounded log is a memory amplifier).

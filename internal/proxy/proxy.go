@@ -642,6 +642,38 @@ func decodeObject(body []byte, format bodyFormatKind) (object.Object, error) {
 	return object.ParseJSON(body)
 }
 
+// RequestTarget returns the namespace and kind this proxy resolves a
+// request's workload policy by, for callers that must route a request
+// the same way its replica will judge it (the plane's front door). For
+// an inspected body of a supported content type these are the body's
+// own metadata.namespace and kind: the streaming scanner's view, or the
+// full decode's when the scanner cannot read the body. The URL path's
+// namespace fills an empty one. Uninspected requests, unsupported
+// content types and undecodable bodies yield only the path namespace.
+func RequestTarget(r *http.Request, body []byte) (namespace, kind string) {
+	if inspectable(r.Method) && len(body) > 0 {
+		if format, ok := bodyFormat(r.Header.Get("Content-Type")); ok {
+			var meta compile.RawMeta
+			var scanned bool
+			if format == formatYAML {
+				meta, scanned = compile.ScanRawYAMLMeta(body)
+			} else {
+				meta, scanned = compile.ScanRawMeta(body)
+			}
+			namespace, kind = string(meta.Namespace), string(meta.Kind)
+			if !scanned {
+				if obj, err := decodeObject(body, format); err == nil {
+					namespace, kind = obj.Namespace(), obj.Kind()
+				}
+			}
+		}
+	}
+	if namespace == "" {
+		namespace = requestNamespace(r.URL.Path)
+	}
+	return namespace, kind
+}
+
 // clientIdentity extracts the caller identity the same way the API server
 // would have (client certificate CN, else X-Remote-User).
 func clientIdentity(r *http.Request) (string, []string) {

@@ -25,6 +25,7 @@ package registry
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/object"
 	"repro/internal/validator"
@@ -178,7 +179,11 @@ func (s ShadowStats) WindowDenyRate() float64 {
 	return float64(s.WindowDenied) / float64(s.WindowSize)
 }
 
-func (w *shadowWindow) snapshot(cumReq, cumDenied uint64) ShadowStats {
+// snapshot reads the window together with the cumulative counters. The
+// counters are loaded under the window lock: every verdict folded into
+// the window was counted cumulatively first, so the snapshot never shows
+// more per-generation verdicts than cumulative ones.
+func (w *shadowWindow) snapshot(cumReq, cumDenied *atomic.Uint64) ShadowStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return ShadowStats{
@@ -187,8 +192,8 @@ func (w *shadowWindow) snapshot(cumReq, cumDenied uint64) ShadowStats {
 		GenDenied:    w.genDenied,
 		WindowSize:   w.filled,
 		WindowDenied: w.denied,
-		Requests:     cumReq,
-		Denied:       cumDenied,
+		Requests:     cumReq.Load(),
+		Denied:       cumDenied.Load(),
 	}
 }
 
@@ -219,7 +224,7 @@ func (e *Entry) Learned() uint64 { return e.learned.Load() }
 
 // ShadowStats snapshots the entry's shadow verdict state.
 func (e *Entry) ShadowStats() ShadowStats {
-	return e.shadow.snapshot(e.shadowReqs.Load(), e.shadowDenied.Load())
+	return e.shadow.snapshot(&e.shadowReqs, &e.shadowDenied)
 }
 
 // RecordShadowViolation appends a would-deny record to the entry's
