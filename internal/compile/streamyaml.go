@@ -231,7 +231,7 @@ scan:
 				inS = !inS
 			}
 		case '"':
-			if !inS && (j == i || s.data[j-1] != '\\') {
+			if !inS && !oddBackslashes(s.data[i:j]) {
 				inD = !inD
 			}
 		case '#':
@@ -246,6 +246,17 @@ scan:
 	}
 	l.end = ce
 	s.line = l
+}
+
+// oddBackslashes reports whether b ends in an odd run of backslashes,
+// which escapes a double quote that follows it; the decoder's comment
+// split (internal/yaml) counts the same way.
+func oddBackslashes(b []byte) bool {
+	n := 0
+	for n < len(b) && b[len(b)-1-n] == '\\' {
+		n++
+	}
+	return n%2 == 1
 }
 
 // cur returns the current line without consuming it; ok=false at EOF.

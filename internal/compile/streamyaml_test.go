@@ -297,6 +297,17 @@ func FuzzRawYAMLEquivalence(f *testing.F) {
 	f.Add([]byte("kind: Pod # comment\nspec: # trailing\n  runAsUser: 9007199254740993\n"))
 	f.Add([]byte("kind: Pod\nspec:\n  a: 1e5\n  b: 0x10\n  c: -007\n  d: .5\n"))
 	f.Add([]byte("apiVersion:\n A")) // meta scalar on the next, deeper line
+	// Double-quoted scalars and keys ending in an escaped backslash, on
+	// their own and where the meta scanner splits a trailing comment.
+	for _, seed := range []string{
+		`k: "a\\" # note`,
+		`k: ["a\\", "b"]`,
+		`"a\\": 1`,
+		`k: {"x": "a\\"}`,
+		"kind: Pod\nmetadata:\n  name: \"a\\\\\" # note\n  namespace: ns\n",
+	} {
+		f.Add([]byte(seed))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		meta, metaOK := ScanRawYAMLMeta(data)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/object"
+	"repro/internal/proxy"
 	"repro/internal/registry"
 )
 
@@ -128,8 +129,8 @@ func TestPlaneStateAndStateString(t *testing.T) {
 }
 
 func TestRouteKeyDerivation(t *testing.T) {
-	mkReq := func(method, path, contentType string) *http.Request {
-		req := httptest.NewRequest(method, path, nil)
+	mkReq := func(method, path, contentType, body string) *http.Request {
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
 		if contentType != "" {
 			req.Header.Set("Content-Type", contentType)
 		}
@@ -193,8 +194,9 @@ func TestRouteKeyDerivation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			req := mkReq(tt.method, tt.path, tt.contentType)
-			if got := routeKey(req, []byte(tt.body)); got != tt.want {
+			q := proxy.Classify(mkReq(tt.method, tt.path, tt.contentType, tt.body))
+			defer q.Release()
+			if got := string(routeKey(nil, q)); got != tt.want {
 				t.Errorf("routeKey = %q, want %q", got, tt.want)
 			}
 		})

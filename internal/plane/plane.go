@@ -35,11 +35,9 @@
 package plane
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -200,14 +198,14 @@ type routeTable struct {
 // owner resolves a shard key to its replica: explicit pin first, then
 // the weighted assignment, then consistent hashing. ok is false only
 // when the ring is empty (every replica drained or down).
-func (rt *routeTable) owner(key string) (int, bool) {
-	if idx, ok := rt.pins[key]; ok {
+func (rt *routeTable) owner(key []byte) (int, bool) {
+	if idx, ok := rt.pins[string(key)]; ok {
 		return idx, true
 	}
-	if idx, ok := rt.assign[key]; ok {
+	if idx, ok := rt.assign[string(key)]; ok {
 		return idx, true
 	}
-	return rt.ring.lookup(key)
+	return rt.ring.at(hashKey(key))
 }
 
 // Plane is the distributed admission tier.
@@ -360,8 +358,14 @@ func (pl *Plane) publishRoutesLocked() {
 // by "ns/<namespace>", cluster-scoped traffic by "kind/<kind>", and
 // unscannable bodies by a deterministic path fallback (any replica will
 // fail closed on them identically).
-func nsKey(namespace string) string { return "ns/" + namespace }
-func kindKey(kind string) string    { return "kind/" + kind }
+const (
+	nsKeyPrefix   = "ns/"
+	kindKeyPrefix = "kind/"
+	pathKeyPrefix = "path/"
+)
+
+func nsKey(namespace string) string { return nsKeyPrefix + namespace }
+func kindKey(kind string) string    { return kindKeyPrefix + kind }
 
 // shardKeys lists the keys a selector is addressed by. Empty means the
 // selector is not shardable (matches any namespace) and must be
@@ -890,20 +894,6 @@ func ownersOn(rg *ring, pins, assign map[string]int, ws *workloadState, stateOf 
 
 // --- data path ---------------------------------------------------------
 
-// maxInspectBytes mirrors the proxy's inspection bound; the front door
-// must not buffer more than a replica would accept.
-const maxInspectBytes = 4 << 20
-
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const maxPooledBody = 256 << 10
-
-func putBody(buf *bytes.Buffer) {
-	if buf != nil && buf.Cap() <= maxPooledBody {
-		bodyPool.Put(buf)
-	}
-}
-
 // ServeHTTP is the tier's front door: derive the shard key, pick the
 // owning replica, apply its backpressure bound, and hand the request to
 // its proxy. Every failure mode is an explicit denial-shaped response —
@@ -929,28 +919,23 @@ func (pl *Plane) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		start = time.Now()
 	}
 
-	var body []byte
-	var buf *bytes.Buffer
-	if r.Body != nil {
-		buf = bodyPool.Get().(*bytes.Buffer)
-		buf.Reset()
-		if _, err := buf.ReadFrom(io.LimitReader(r.Body, maxInspectBytes+1)); err != nil {
-			putBody(buf)
-			pl.writeStatus(w, http.StatusBadRequest, "KubeFenceRequestRejected",
-				"request body could not be read: "+err.Error())
-			return
-		}
-		r.Body.Close()
-		body = buf.Bytes()
+	// The request is read, routed and scanned once, here; the replica
+	// judges the same classified request.
+	q := proxy.Classify(r)
+	if err := q.Err(); err != nil {
+		q.Release()
+		pl.writeStatus(w, http.StatusBadRequest, "KubeFenceRequestRejected",
+			"request body could not be read: "+err.Error())
+		return
 	}
-	defer putBody(buf)
-
-	key := routeKey(r, body)
+	var kb [128]byte
+	key := routeKey(kb[:0], q)
 	rt := pl.routes.Load()
 	idx, ok := rt.owner(key)
 	if !ok {
 		pl.unavailableTotal.Add(1)
 		pl.recordFront(telemetry.VerdictUnavailable, start)
+		q.Release()
 		pl.writeStatus(w, http.StatusServiceUnavailable, "KubeFenceReplicaUnavailable",
 			"no active admission replica for this request")
 		return
@@ -960,6 +945,7 @@ func (pl *Plane) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rep.unavailable.Add(1)
 		pl.unavailableTotal.Add(1)
 		pl.recordFront(telemetry.VerdictUnavailable, start)
+		q.Release()
 		pl.writeStatus(w, http.StatusServiceUnavailable, "KubeFenceReplicaUnavailable",
 			fmt.Sprintf("admission replica %d is down", idx))
 		return
@@ -970,6 +956,7 @@ func (pl *Plane) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			rep.shed.Add(1)
 			pl.shedTotal.Add(1)
 			pl.recordFront(telemetry.VerdictShed, start)
+			q.Release()
 			pl.writeStatus(w, http.StatusTooManyRequests, "KubeFenceTierOverloaded",
 				fmt.Sprintf("admission replica %d is saturated", idx))
 			return
@@ -982,6 +969,7 @@ func (pl *Plane) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rep.unavailable.Add(1)
 		pl.unavailableTotal.Add(1)
 		pl.recordFront(telemetry.VerdictUnavailable, start)
+		q.Release()
 		pl.writeStatus(w, http.StatusServiceUnavailable, "KubeFenceReplicaUnavailable",
 			fmt.Sprintf("admission replica %d is restarting", idx))
 		return
@@ -990,10 +978,7 @@ func (pl *Plane) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// The front-door record covers routing overhead only; the replica's
 	// own hub times the admission decision itself.
 	pl.recordFront(telemetry.VerdictRouted, start)
-	if body != nil {
-		r.Body = io.NopCloser(bytes.NewReader(body))
-	}
-	px.ServeHTTP(w, r)
+	px.Admit(w, q)
 }
 
 // FrontDoorWorkload is the telemetry workload label the front door
@@ -1066,22 +1051,22 @@ func (rep *replica) acquire(timeout time.Duration) bool {
 
 func (rep *replica) release() { <-rep.inflight }
 
-// routeKey derives the shard key of a request from the namespace and
-// kind its replica will resolve the workload by (proxy.RequestTarget,
-// the replica's own routing code, so the two can never diverge): the
-// namespace when there is one, else the body kind for cluster-scoped
-// objects. Requests with neither get a deterministic path key; every
-// replica fails closed on those identically, the key only needs to be
-// stable.
-func routeKey(r *http.Request, body []byte) string {
-	namespace, kind := proxy.RequestTarget(r, body)
-	if namespace != "" {
-		return nsKey(namespace)
+// routeKey appends the shard key of a request to dst, from the
+// namespace and kind its replica will resolve the workload by
+// (proxy.Request.Target, the replica's own routing, so the two can
+// never diverge): the namespace when there is one, else the body kind
+// for cluster-scoped objects. Requests with neither get a deterministic
+// path key; every replica fails closed on those identically, the key
+// only needs to be stable.
+func routeKey(dst []byte, q *proxy.Request) []byte {
+	namespace, kind := q.Target()
+	switch {
+	case len(namespace) > 0:
+		return append(append(dst, nsKeyPrefix...), namespace...)
+	case len(kind) > 0:
+		return append(append(dst, kindKeyPrefix...), kind...)
 	}
-	if kind != "" {
-		return kindKey(kind)
-	}
-	return "path/" + r.URL.Path
+	return append(append(dst, pathKeyPrefix...), q.Path()...)
 }
 
 // writeStatus writes a Kubernetes Status-shaped failure so shed
@@ -1171,7 +1156,7 @@ func (pl *Plane) Metrics() TierMetrics {
 	shardsBy := make(map[int]int, len(pl.replicas))
 	loadBy := make(map[int]float64, len(pl.replicas))
 	for _, kl := range pl.keyLoadsLocked(scores) {
-		idx, ok := rt.owner(kl.key)
+		idx, ok := rt.owner([]byte(kl.key))
 		if !ok {
 			continue
 		}

@@ -2,7 +2,6 @@ package plane
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 )
 
@@ -51,11 +50,13 @@ func buildRing(replicas []int, vnodes int) *ring {
 
 // lookup maps a shard key to its owning replica. ok is false when the
 // ring is empty (every replica drained or down).
-func (rg *ring) lookup(key string) (int, bool) {
+func (rg *ring) lookup(key string) (int, bool) { return rg.at(hashKey(key)) }
+
+// at maps a shard key's hash to its owning replica.
+func (rg *ring) at(h uint64) (int, bool) {
 	if len(rg.points) == 0 {
 		return 0, false
 	}
-	h := hashKey(key)
 	i := sort.Search(len(rg.points), func(i int) bool { return rg.points[i].hash >= h })
 	if i == len(rg.points) {
 		i = 0 // wrap: clockwise past the highest point lands on the first
@@ -68,10 +69,14 @@ func (rg *ring) lookup(key string) (int, bool) {
 // "…/vnode-18") in one contiguous hash band, which would degenerate
 // the ring into one giant arc per replica; the 64-bit avalanche
 // finalizer spreads the bands so virtual nodes actually interleave.
-func hashKey(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	x := h.Sum64()
+// The data path hashes the key bytes it built without converting them.
+func hashKey[K string | []byte](key K) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	x := uint64(offset64)
+	for i := 0; i < len(key); i++ {
+		x ^= uint64(key[i])
+		x *= prime64
+	}
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33

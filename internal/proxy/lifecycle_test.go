@@ -20,8 +20,8 @@ import (
 // slowEchoTransport echoes the request body back like echoTransport but
 // reads it in small chunks with scheduler yields between them, widening
 // the window in which a prematurely recycled pooled buffer (returned to
-// bodyPool while the upstream read is still in flight) would be observed
-// as a mangled echo — and as a data race under -race.
+// the request pool while the upstream read is still in flight) would be
+// observed as a mangled echo — and as a data race under -race.
 type slowEchoTransport struct{}
 
 func (slowEchoTransport) RoundTrip(r *http.Request) (*http.Response, error) {
@@ -178,5 +178,115 @@ func TestBodyBufferLifecycleUnderRace(t *testing.T) {
 	if got := stats.Delivered + stats.Dropped; got != stats.Enqueued {
 		t.Errorf("sink accounting leak: delivered %d + dropped %d != enqueued %d",
 			stats.Delivered, stats.Dropped, stats.Enqueued)
+	}
+}
+
+// lateTransport keeps using a forwarded request after RoundTrip returns,
+// as the http.RoundTripper contract allows: a goroutine it starts reads
+// the headers and the body late and only then closes the body. For a
+// bodiless request it stops reading when the caller closes the
+// response, the other event the contract makes the caller wait for.
+type lateTransport struct {
+	wg   *sync.WaitGroup
+	errs chan<- error
+}
+
+func (t lateTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	probe := req.Header.Get("X-Probe")
+	done := make(chan struct{})
+	t.wg.Add(1)
+	go func() {
+		defer t.wg.Done()
+		defer close(done)
+		runtime.Gosched()
+		if got := req.Header.Get("X-Probe"); got != probe {
+			t.errs <- fmt.Errorf("request %s: header read late says %q", probe, got)
+		}
+		if got := req.Header.Get("X-Forwarded-User"); got != "user-"+probe {
+			t.errs <- fmt.Errorf("request %s: forwarded user read late is %q", probe, got)
+		}
+		if req.Body == nil {
+			return
+		}
+		runtime.Gosched()
+		body, err := io.ReadAll(req.Body)
+		if err != nil {
+			t.errs <- err
+		}
+		if want := `"replicas":` + probe + `,`; !strings.Contains(string(body), want) {
+			t.errs <- fmt.Errorf("request %s: body read late lacks %s: %s", probe, want, body)
+		}
+		req.Body.Close()
+	}()
+	respBody := io.NopCloser(http.NoBody)
+	if req.Body == nil {
+		respBody = waitCloser{done}
+	}
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: respBody}, nil
+}
+
+// waitCloser is a response body whose Close waits for the transport to
+// finish with the request.
+type waitCloser struct{ done <-chan struct{} }
+
+func (waitCloser) Read([]byte) (int, error) { return 0, io.EOF }
+func (w waitCloser) Close() error {
+	<-w.done
+	return nil
+}
+
+// TestForwardStateOutlivesRoundTrip checks that pooled forward state
+// (outbound request, header map, body reader, body buffer) is recycled
+// only after the transport has closed the body and the proxy has closed
+// the response, never as soon as RoundTrip returns. A request recycled
+// early is reused by a concurrent one: the late reads then see another
+// request's header or body, and -race reports the overlap.
+func TestForwardStateOutlivesRoundTrip(t *testing.T) {
+	var wg sync.WaitGroup
+	errs := make(chan error, 1024)
+	p, err := New(Config{
+		Upstream:  "http://upstream.invalid",
+		Transport: lateTransport{wg: &wg, errs: errs},
+		Validator: testPolicy(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, perG = 8, 50
+	var senders sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		senders.Add(1)
+		go func(g int) {
+			defer senders.Done()
+			for i := 0; i < perG; i++ {
+				probe := fmt.Sprint(g*perG + i + 1)
+				method, body := http.MethodGet, io.Reader(nil)
+				if i%2 == 0 {
+					d := goodDeployment()
+					_ = object.Set(d, "spec.replicas", int64(g*perG+i+1))
+					js, err := json.Marshal(d)
+					if err != nil {
+						errs <- err
+						return
+					}
+					method, body = http.MethodPost, bytes.NewReader(js)
+				}
+				req := httptest.NewRequest(method, "/apis/apps/v1/namespaces/default/deployments", body)
+				req.Header.Set("Content-Type", "application/json")
+				req.Header.Set("X-Remote-User", "user-"+probe)
+				req.Header.Set("X-Probe", probe)
+				rec := httptest.NewRecorder()
+				p.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					errs <- fmt.Errorf("request %s answered %d: %s", probe, rec.Code, rec.Body)
+				}
+			}
+		}(g)
+	}
+	senders.Wait()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

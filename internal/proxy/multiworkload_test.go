@@ -325,13 +325,15 @@ func TestRequestTarget(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			req := httptest.NewRequest(tt.method, tt.path, nil)
+			req := httptest.NewRequest(tt.method, tt.path, strings.NewReader(tt.body))
 			if tt.contentType != "" {
 				req.Header.Set("Content-Type", tt.contentType)
 			}
-			ns, kind := RequestTarget(req, []byte(tt.body))
-			if ns != tt.namespace || kind != tt.kind {
-				t.Errorf("RequestTarget = %q, %q; want %q, %q", ns, kind, tt.namespace, tt.kind)
+			q := Classify(req)
+			defer q.Release()
+			ns, kind := q.Target()
+			if string(ns) != tt.namespace || string(kind) != tt.kind {
+				t.Errorf("Target = %q, %q; want %q, %q", ns, kind, tt.namespace, tt.kind)
 			}
 		})
 	}

@@ -48,18 +48,17 @@
 package proxy
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"mime"
 	"net/http"
+	"net/url"
+	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
-	"repro/internal/compile"
 	"repro/internal/object"
 	"repro/internal/registry"
 	"repro/internal/telemetry"
@@ -143,10 +142,11 @@ type Config struct {
 
 // Proxy is the enforcement handler.
 type Proxy struct {
-	upstream  string
-	transport http.RoundTripper
-	proxyUser string
-	registry  *registry.Registry
+	upstream     *url.URL
+	upstreamHost string
+	transport    http.RoundTripper
+	proxyUser    string
+	registry     *registry.Registry
 	// single names the implicit wildcard entry of a proxy built from
 	// Config.Validator; SetValidator swaps that entry's policy.
 	single     string
@@ -186,17 +186,24 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.Upstream == "" {
 		return nil, fmt.Errorf("proxy: Config.Upstream is required")
 	}
+	// Parsed once, as http.NewRequest parses it; every forward copies
+	// the URL and host.
+	tmpl, err := http.NewRequest(http.MethodGet, strings.TrimSuffix(cfg.Upstream, "/"), nil)
+	if err != nil {
+		return nil, fmt.Errorf("proxy: Config.Upstream: %w", err)
+	}
 	p := &Proxy{
-		upstream:   strings.TrimSuffix(cfg.Upstream, "/"),
-		transport:  cfg.Transport,
-		proxyUser:  cfg.ProxyUser,
-		registry:   cfg.Registry,
-		disableRaw: cfg.DisableRawFastPath,
-		onViolate:  cfg.OnViolation,
-		onShadow:   cfg.OnShadowViolation,
-		tap:        cfg.Tap,
-		telemetry:  cfg.Telemetry,
-		violations: registry.NewBoundedLog(registry.MaxRecords),
+		upstream:     tmpl.URL,
+		upstreamHost: tmpl.Host,
+		transport:    cfg.Transport,
+		proxyUser:    cfg.ProxyUser,
+		registry:     cfg.Registry,
+		disableRaw:   cfg.DisableRawFastPath,
+		onViolate:    cfg.OnViolation,
+		onShadow:     cfg.OnShadowViolation,
+		tap:          cfg.Tap,
+		telemetry:    cfg.Telemetry,
+		violations:   registry.NewBoundedLog(registry.MaxRecords),
 	}
 	if p.transport == nil {
 		p.transport = http.DefaultTransport
@@ -303,96 +310,52 @@ func (p *Proxy) CloseSinks() {
 	}
 }
 
-// maxInspectBytes bounds the request body the proxy is willing to
-// buffer for inspection. Larger bodies are denied, not truncated: a
-// truncated parse could silently validate a prefix of the attacker's
-// actual object.
-const maxInspectBytes = 4 << 20
-
-// bodyPool recycles request-body buffers across requests: the enforcement
-// point reads every body it inspects, and steady-state traffic should
-// not allocate a fresh buffer (the single largest allocation of the
-// allowed-request path) per request.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledBody caps the buffers the pool retains; a rare 4 MiB body
-// should not pin 4 MiB per pool slot forever.
-const maxPooledBody = 256 << 10
-
-func putBody(buf *bytes.Buffer) {
-	if buf != nil && buf.Cap() <= maxPooledBody {
-		bodyPool.Put(buf)
-	}
-}
-
-// releaseReader carries a pooled body into the upstream round trip and
-// returns the buffer to the pool when the transport closes the request
-// body (http.RoundTripper contract: the transport always closes it).
-type releaseReader struct {
-	*bytes.Reader
-	release func()
-	once    sync.Once
-}
-
-func (rr *releaseReader) Close() error {
-	rr.once.Do(rr.release)
-	return nil
-}
-
-// ServeHTTP implements http.Handler: inspect, validate, forward or deny.
-// Every failure on the inspection path fails closed with its own
-// audit-able outcome: unreadable bodies (mid-stream disconnects),
-// oversized bodies, unsupported content types, and undecodable bodies
-// each produce a denial record with a distinct reason and status code.
+// ServeHTTP implements http.Handler: read and classify the request
+// once, then admit it.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	p.Admit(w, Classify(r))
+}
+
+// Admit inspects, validates, and forwards or denies a classified
+// request, and recycles it. Every failure on the inspection path fails
+// closed with its own audit-able outcome: unreadable bodies (mid-stream
+// disconnects), oversized bodies, unsupported content types, and
+// undecodable bodies each produce a denial record with a distinct
+// reason and status code.
+func (p *Proxy) Admit(w http.ResponseWriter, q *Request) {
 	p.requests.Add(1)
+	r := q.r
 	user, groups := clientIdentity(r)
 
-	var body []byte
-	var buf *bytes.Buffer
-	if r.Body != nil {
-		buf = bodyPool.Get().(*bytes.Buffer)
-		buf.Reset()
-		if _, err := buf.ReadFrom(io.LimitReader(r.Body, maxInspectBytes+1)); err != nil {
-			putBody(buf)
-			p.deny(w, r, user, nil, "", "", http.StatusBadRequest, []validator.Violation{{
-				Reason: "request body could not be read: " + err.Error(),
-			}})
-			return
-		}
-		r.Body.Close()
-		body = buf.Bytes()
+	if q.err != nil {
+		p.deny(w, r, user, nil, "", "", http.StatusBadRequest, []validator.Violation{{
+			Reason: "request body could not be read: " + q.err.Error(),
+		}})
+		q.Release()
+		return
 	}
-	// releaseBody returns the pooled buffer once nothing references the
-	// body bytes anymore: called directly on deny paths, deferred to the
-	// transport's Body.Close on the forward path.
-	releaseBody := func() {
-		b := buf
-		buf = nil
-		putBody(b)
-	}
+	body := q.body
 	// Oversized bodies are denied for every method, before the
-	// inspection branch: the read above is capped, so forwarding would
+	// inspection branch: the read is capped, so forwarding would
 	// silently hand upstream a truncated request.
 	if len(body) > maxInspectBytes {
 		p.deny(w, r, user, nil, "", "", http.StatusRequestEntityTooLarge, []validator.Violation{{
 			Reason: fmt.Sprintf("request body exceeds the %d MiB inspection limit", maxInspectBytes>>20),
 		}})
-		releaseBody()
+		q.Release()
 		return
 	}
 
 	if inspectable(r.Method) && len(body) > 0 {
 		p.inspected.Add(1)
-		contentType := r.Header.Get("Content-Type")
-		format, ok := bodyFormat(contentType)
-		if !ok {
+		if !q.typed {
 			p.deny(w, r, user, nil, "", "", http.StatusUnsupportedMediaType, []validator.Violation{{
-				Reason: fmt.Sprintf("unsupported content type %q for an inspected request", contentType),
+				Reason: fmt.Sprintf("unsupported content type %q for an inspected request", r.Header.Get("Content-Type")),
 			}})
-			releaseBody()
+			q.Release()
 			return
 		}
+		format := q.format
 		start := time.Now()
 		// tc is nil for all but 1/N decisions (telemetry sampling); every
 		// method on a nil ctx is a no-op, so the stage marks below cost
@@ -410,14 +373,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// fall through (learn feeds the miner, shadow records
 		// diagnostics).
 		if !p.disableRaw && p.tap == nil {
-			var meta compile.RawMeta
-			var scanned bool
-			if format == formatYAML {
-				meta, scanned = compile.ScanRawYAMLMeta(body)
-			} else {
-				meta, scanned = compile.ScanRawMeta(body)
-			}
-			if scanned {
+			if meta, scanned := q.scan(); scanned {
 				var entry *registry.Entry
 				var found bool
 				if len(meta.Namespace) > 0 {
@@ -442,7 +398,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 						Reason: fmt.Sprintf("no KubeFence policy registered for namespace %q kind %q",
 							namespace, kind),
 					}})
-					releaseBody()
+					q.Release()
 					return
 				}
 				if entry.Mode() == registry.ModeEnforce {
@@ -464,7 +420,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 								tc.Finish(entry.Workload(), telemetry.VerdictDenied, telemetry.PathRaw, string(meta.Kind), string(meta.Name))
 							}
 							p.reject(w, r, user, entry, string(meta.Kind), string(meta.Name), vs)
-							releaseBody()
+							q.Release()
 							return
 						}
 						p.rawAllowed.Add(1)
@@ -475,14 +431,14 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 						if tc != nil {
 							tc.Finish(entry.Workload(), telemetry.VerdictAllowed, telemetry.PathRaw, string(meta.Kind), string(meta.Name))
 						}
-						p.forward(w, r, user, groups, body, releaseBody)
+						p.forward(w, q, user, groups)
 						return
 					}
 				}
 			}
 		}
 
-		obj, err := decodeObject(body, format)
+		obj, err := q.object()
 		tc.Stage("decode")
 		if err != nil {
 			el := time.Since(start)
@@ -492,7 +448,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			p.reject(w, r, user, nil, "", "", []validator.Violation{{
 				Reason: "request body is not a valid Kubernetes object: " + err.Error(),
 			}})
-			releaseBody()
+			q.Release()
 			return
 		}
 		namespace := obj.Namespace()
@@ -510,7 +466,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				Reason: fmt.Sprintf("no KubeFence policy registered for namespace %q kind %q",
 					namespace, obj.Kind()),
 			}})
-			releaseBody()
+			q.Release()
 			return
 		}
 		if p.tap != nil {
@@ -558,7 +514,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				p.telemetry.RecordDecision(entry.Workload(), telemetry.VerdictDenied, telemetry.PathDecoded, el)
 				tc.Finish(entry.Workload(), telemetry.VerdictDenied, telemetry.PathDecoded, obj.Kind(), obj.Name())
 				p.reject(w, r, user, entry, obj.Kind(), obj.Name(), violations)
-				releaseBody()
+				q.Release()
 				return
 			}
 			p.telemetry.RecordDecision(entry.Workload(), telemetry.VerdictAllowed, telemetry.PathDecoded, el)
@@ -566,7 +522,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	p.forward(w, r, user, groups, body, releaseBody)
+	p.forward(w, q, user, groups)
 }
 
 // requestNamespace extracts the namespace segment of an API request path
@@ -615,8 +571,13 @@ const (
 // content type defaults to JSON (kubectl and client-go always set one;
 // bare tooling often doesn't).
 func bodyFormat(contentType string) (bodyFormatKind, bool) {
-	if contentType == "" {
+	// The exact values clients send match without parsing (or
+	// allocating); anything else takes the RFC 2045 parse.
+	switch contentType {
+	case "", "application/json", "text/json":
 		return formatJSON, true
+	case "application/yaml", "text/yaml", "application/x-yaml":
+		return formatYAML, true
 	}
 	mediaType, _, err := mime.ParseMediaType(contentType)
 	if err != nil {
@@ -640,38 +601,6 @@ func decodeObject(body []byte, format bodyFormatKind) (object.Object, error) {
 		return object.ParseManifest(body)
 	}
 	return object.ParseJSON(body)
-}
-
-// RequestTarget returns the namespace and kind this proxy resolves a
-// request's workload policy by, for callers that must route a request
-// the same way its replica will judge it (the plane's front door). For
-// an inspected body of a supported content type these are the body's
-// own metadata.namespace and kind: the streaming scanner's view, or the
-// full decode's when the scanner cannot read the body. The URL path's
-// namespace fills an empty one. Uninspected requests, unsupported
-// content types and undecodable bodies yield only the path namespace.
-func RequestTarget(r *http.Request, body []byte) (namespace, kind string) {
-	if inspectable(r.Method) && len(body) > 0 {
-		if format, ok := bodyFormat(r.Header.Get("Content-Type")); ok {
-			var meta compile.RawMeta
-			var scanned bool
-			if format == formatYAML {
-				meta, scanned = compile.ScanRawYAMLMeta(body)
-			} else {
-				meta, scanned = compile.ScanRawMeta(body)
-			}
-			namespace, kind = string(meta.Namespace), string(meta.Kind)
-			if !scanned {
-				if obj, err := decodeObject(body, format); err == nil {
-					namespace, kind = obj.Namespace(), obj.Kind()
-				}
-			}
-		}
-	}
-	if namespace == "" {
-		namespace = requestNamespace(r.URL.Path)
-	}
-	return namespace, kind
 }
 
 // clientIdentity extracts the caller identity the same way the API server
@@ -787,65 +716,112 @@ func (p *Proxy) deny(w http.ResponseWriter, r *http.Request, user string,
 	if code != http.StatusForbidden {
 		reason, message = "KubeFenceRequestRejected", "request rejected by KubeFence enforcement point: "
 	}
-	body := map[string]any{
-		"kind":    "Status",
-		"status":  "Failure",
-		"reason":  reason,
-		"message": message + strings.Join(msgs, "; "),
-		"code":    code,
-		"details": map[string]any{"violations": msgs},
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(body)
+	_, _ = w.Write(appendStatus(make([]byte, 0, 512), code, reason, message, msgs))
 }
 
-// forward relays the request upstream, asserting the original caller via
-// front-proxy headers. Ownership of the pooled body buffer transfers to
-// the upstream request: the transport's Body.Close returns it to the
-// pool (releaseBody is idempotent and also covers the error paths).
-func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, user string,
-	groups []string, body []byte, releaseBody func()) {
-	url := p.upstream + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
+// appendStatus appends the denial's Kubernetes Status body exactly as
+// encoding/json encodes the equivalent map: keys sorted, strings
+// HTML-escaped, one trailing newline.
+func appendStatus(b []byte, code int, reason, message string, msgs []string) []byte {
+	b = append(b, `{"code":`...)
+	b = strconv.AppendInt(b, int64(code), 10)
+	b = append(b, `,"details":{"violations":[`...)
+	for i, m := range msgs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '"')
+		b = appendEscaped(b, m)
+		b = append(b, '"')
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, nil)
-	if err != nil {
-		releaseBody()
-		http.Error(w, "building upstream request: "+err.Error(), http.StatusBadGateway)
-		return
+	// The message is the prefix followed by the violations joined with
+	// "; ", escaped piecewise: the separators are ASCII, so no escape
+	// spans two pieces.
+	b = append(b, `]},"kind":"Status","message":"`...)
+	b = appendEscaped(b, message)
+	for i, m := range msgs {
+		if i > 0 {
+			b = append(b, "; "...)
+		}
+		b = appendEscaped(b, m)
 	}
-	if len(body) > 0 {
-		req.Body = &releaseReader{Reader: bytes.NewReader(body), release: releaseBody}
-		req.ContentLength = int64(len(body))
-	} else {
-		// Nothing upstream will read; recycle the buffer immediately.
-		releaseBody()
-	}
-	for k, vs := range r.Header {
-		// Strip identity headers a client might try to smuggle.
-		if k == "X-Forwarded-User" || k == "X-Forwarded-Group" || k == "X-Remote-User" || k == "X-Remote-Group" {
+	b = append(b, `","reason":"`...)
+	b = appendEscaped(b, reason)
+	return append(b, "\",\"status\":\"Failure\"}\n"...)
+}
+
+// appendEscaped appends s as the inside of a JSON string the way
+// encoding/json writes it with HTML escaping on: quote, backslash and
+// the short control escapes, \u00XX for other control bytes and for
+// <, > and &, \u2028 and \u2029, and \ufffd for each invalid UTF-8 byte.
+func appendEscaped(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
 			continue
 		}
-		for _, v := range vs {
-			req.Header.Add(k, v)
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			i += size
+			continue
 		}
+		i += size
+		start = i
 	}
-	req.Header.Set("X-Forwarded-User", user)
-	for _, g := range groups {
-		req.Header.Add("X-Forwarded-Group", g)
-	}
-	if p.proxyUser != "" {
-		req.Header.Set("X-Remote-User", p.proxyUser)
-	}
+	return append(b, s[start:]...)
+}
 
-	resp, err := p.transport.RoundTrip(req)
+// forward relays the request upstream through its pooled outbound
+// request, asserting the original caller via front-proxy headers. The
+// Request is recycled once both the transport has closed the forwarded
+// body and the upstream response has been relayed and closed.
+func (p *Proxy) forward(w http.ResponseWriter, q *Request, user string, groups []string) {
+	out := q.outbound(p, user, groups)
+	if len(q.body) > 0 {
+		q.fwd.Reset(q.body)
+		q.refs.Add(1) // dropped by the transport's Close of the body
+		out.Body, out.ContentLength = &q.fwd, int64(len(q.body))
+	}
+	resp, err := p.transport.RoundTrip(out)
 	if err != nil {
+		q.unref()
 		http.Error(w, "upstream error: "+err.Error(), http.StatusBadGateway)
 		return
 	}
-	defer resp.Body.Close()
 	for k, vs := range resp.Header {
 		for _, v := range vs {
 			w.Header().Add(k, v)
@@ -853,4 +829,6 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, user string,
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
+	resp.Body.Close()
+	q.unref()
 }

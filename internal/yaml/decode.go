@@ -100,7 +100,7 @@ func stripTrailingComment(s string) (content, comment string) {
 		case c == '\'' && !inDouble:
 			inSingle = !inSingle
 		case c == '"' && !inSingle:
-			if i == 0 || s[i-1] != '\\' {
+			if !oddBackslashes(s[:i]) {
 				inDouble = !inDouble
 			}
 		case c == '#' && !inSingle && !inDouble:
@@ -110,6 +110,17 @@ func stripTrailingComment(s string) (content, comment string) {
 		}
 	}
 	return s, ""
+}
+
+// oddBackslashes reports whether s ends in an odd run of backslashes,
+// which escapes a double quote that follows it ("a\\" ends in an escaped
+// backslash, not an escaped quote).
+func oddBackslashes(s string) bool {
+	n := 0
+	for n < len(s) && s[len(s)-1-n] == '\\' {
+		n++
+	}
+	return n%2 == 1
 }
 
 // skipBlank advances past blank and comment-only lines.
@@ -406,7 +417,7 @@ func splitKey(content string, lineNum int) (key, rest string, err error) {
 					i += 2
 					continue
 				}
-				if q == '"' && content[i-1] == '\\' {
+				if q == '"' && oddBackslashes(content[:i]) {
 					i++
 					continue
 				}
@@ -597,7 +608,7 @@ func parseFlowItem(s string, lineNum int) (any, string, error) {
 		return parseFlow(s, lineNum)
 	case '"':
 		for i := 1; i < len(s); i++ {
-			if s[i] == '"' && s[i-1] != '\\' {
+			if s[i] == '"' && !oddBackslashes(s[:i]) {
 				v, err := unquoteScalar(s[:i+1], lineNum)
 				return v, s[i+1:], err
 			}

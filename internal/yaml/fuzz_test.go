@@ -35,6 +35,11 @@ func FuzzDecode(f *testing.F) {
 		"a: |\n  literal\n  block\nb: >-\n  folded\nc: {flow: [1, 2.5, true, null]}\n",
 		"# enum: standalone or repl\narch: standalone\n",
 		"---\ndoc: 1\n---\ndoc: 2\n...\n",
+		// Double-quoted scalars and keys ending in an escaped backslash.
+		`k: "a\\" # note`,
+		`k: ["a\\", "b"]`,
+		`"a\\": 1`,
+		`k: {"x": "a\\"}`,
 	} {
 		f.Add([]byte(seed))
 	}

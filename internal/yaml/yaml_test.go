@@ -283,6 +283,34 @@ func TestDecodeQuotedKeys(t *testing.T) {
 	}
 }
 
+// TestDecodeEscapedBackslashBeforeQuote covers double-quoted scalars
+// and keys that end in an escaped backslash: the closing quote follows
+// an even run of backslashes and ends the scalar.
+func TestDecodeEscapedBackslashBeforeQuote(t *testing.T) {
+	for _, tt := range []struct {
+		in   string
+		want map[string]any
+	}{
+		{`k: "a\\" # note`, map[string]any{"k": `a\`}},
+		{`k: ["a\\", "b"]`, map[string]any{"k": []any{`a\`, "b"}}},
+		{`"a\\": 1`, map[string]any{`a\`: int64(1)}},
+		{`k: {"x": "a\\"}`, map[string]any{"k": map[string]any{"x": `a\`}}},
+		// Odd runs still escape the quote.
+		{`k: "a\"b" # note`, map[string]any{"k": `a"b`}},
+		{`k: "a\\\"" # note`, map[string]any{"k": `a\"`}},
+		{`k: ["a\\\"", "b"]`, map[string]any{"k": []any{`a\"`, "b"}}},
+	} {
+		got, err := Decode([]byte(tt.in))
+		if err != nil {
+			t.Errorf("Decode(%q): %v", tt.in, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("Decode(%q) = %#v, want %#v", tt.in, got, tt.want)
+		}
+	}
+}
+
 func TestDecodeErrors(t *testing.T) {
 	tests := []struct {
 		name string
